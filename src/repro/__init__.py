@@ -33,7 +33,7 @@ _TOP_LEVEL = {
     "HisRESConfig": ("repro.core", "HisRESConfig"),
     "Forecaster": ("repro.core", "Forecaster"),
     "Trainer": ("repro.training", "Trainer"),
-    "Evaluator": ("repro.training", "Evaluator"),
+    "TimelineEvaluator": ("repro.training", "TimelineEvaluator"),
     "generate_dataset": ("repro.data", "generate_dataset"),
     "load_tsv": ("repro.data", "load_tsv"),
     "TKGDataset": ("repro.data", "TKGDataset"),

@@ -13,10 +13,9 @@ contract instead of a private detail of each model:
   subgraph expansion) return a *fused* state that simply carries the
   window; their decode runs the original fused path and their states
   are never cached.
-- :class:`EncoderStateCache` — LRU over encoder states, keyed on the
-  window content fingerprint + model version + dtype, with hit/miss/
-  evict counters on the :mod:`repro.obs` registry and a span around
-  every live encode.
+- :class:`EncoderStateCache` — the :class:`~repro.obs.cache.LRUCache`
+  over encoder states, keyed on the window content fingerprint + model
+  version + dtype, with a span around every live encode.
 - :class:`ExecutionPlan` — the one code path that turns a window into
   scores.  The evaluator, forecaster, serving engine, and trainer all
   go through a plan; training losses still encode live under grad,
@@ -36,8 +35,6 @@ query-set-dependent, and for the batched-walk grouping invariants.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (
     Any,
@@ -56,6 +53,7 @@ import numpy as np
 
 from repro.core.window import HistoryWindow
 from repro.nn.tensor import Tensor, concat, get_default_dtype
+from repro.obs.cache import LRUCache
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
 
@@ -209,77 +207,31 @@ def make_fused_state(model, window: HistoryWindow) -> EncoderState:
     )
 
 
-class EncoderStateCache:
-    """Thread-safe LRU over :class:`EncoderState` instances.
+class EncoderStateCache(LRUCache):
+    """The :class:`~repro.obs.cache.LRUCache` over encoder states.
 
     Keys are ``(model_key, model_version, dtype, window fingerprint)``:
     a weight update, a dtype switch, or any change to the window
-    content each make earlier entries unreachable.  Counters live on
-    the process-wide :mod:`repro.obs` registry (scraped by the serving
-    ``/metrics`` endpoint) *and* as plain per-instance integers for
-    ``stats()``.
+    content each make earlier entries unreachable.  Fused states are
+    never stored.  Events land on the registry under
+    ``cache="encoder_state"``.
     """
 
     def __init__(self, capacity: int = 16, owner: str = "plan"):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = int(capacity)
-        self.owner = owner
-        self._data: "OrderedDict[Hashable, EncoderState]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        family = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        )
-        self._counters = {
-            event: family.labels(owner=owner, event=event)
-            for event in ("hit", "miss", "evict")
-        }
-        self._gauge_entries = get_registry().gauge(
-            "repro_encoder_state_cache_entries",
-            "Live entries in the encoder-state cache.",
-            labelnames=("owner",),
-        ).labels(owner=owner)
+        super().__init__(capacity=capacity, cache="encoder_state", owner=owner)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    # ------------------------------------------------------------------
     def _key(self, model, model_key: str, fingerprint: Hashable) -> Hashable:
         return (model_key, getattr(model, "version", 0), str(get_default_dtype()), fingerprint)
 
-    def _cache_get(self, key: Hashable) -> Optional[EncoderState]:
-        """In-memory lookup; a hit refreshes recency and counts."""
-        with self._lock:
-            state = self._data.get(key)
-            if state is not None:
-                self._data.move_to_end(key)
-                self.hits += 1
-        if state is not None:
-            self._counters["hit"].inc()
-        return state
-
-    def _cache_put(self, key: Hashable, state: EncoderState) -> None:
-        """Insert a cacheable state, evicting LRU entries past capacity."""
-        if not state.cacheable or self.capacity <= 0:
-            return
-        with self._lock:
-            self._data[key] = state
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                self.evictions += 1
-                self._counters["evict"].inc()
-            self._gauge_entries.set(len(self._data))
+    def put(self, key: Hashable, state: EncoderState) -> None:
+        """Store ``state`` unless it is fused (carries per-query inputs)."""
+        if state.cacheable:
+            super().put(key, state)
 
     def _encode_live(self, model, window: HistoryWindow, fingerprint: Hashable) -> EncoderState:
         """One real encode (eval + no-grad), stamped with the fingerprint."""
         with span("encoder.encode", owner=self.owner):
-            with _inference(model):
+            with model.inference_mode():
                 state = model.encode(window)
         return replace(state, fingerprint=fingerprint)
 
@@ -292,8 +244,7 @@ class EncoderStateCache:
         encode on the request path.  A present state still counts (and
         refreshes) as a hit.
         """
-        key = self._key(model, model_key, window.fingerprint())
-        return self._cache_get(key)
+        return self.get(self._key(model, model_key, window.fingerprint()), count_miss=False)
 
     def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
         """Return the cached state for ``window`` or run one live encode.
@@ -304,57 +255,19 @@ class EncoderStateCache:
         here — they encode live under grad inside ``model.loss``.
         """
         fingerprint = window.fingerprint()
-        key = self._key(model, model_key, fingerprint)
-        state = self._cache_get(key)
-        if state is not None:
-            return state
-        self.misses += 1
-        self._counters["miss"].inc()
-        state = self._encode_live(model, window, fingerprint)
-        self._cache_put(key, state)
-        return state
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-            self._gauge_entries.set(0)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            size = len(self._data)
-        return {
-            "entries": size,
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-def _inference(model):
-    """The model's inference_mode, or plain no-grad for duck-typed models."""
-    mode = getattr(model, "inference_mode", None)
-    if mode is not None:
-        return mode()
-    from repro.nn.tensor import no_grad
-
-    return no_grad()
+        return self.get_or_build(
+            self._key(model, model_key, fingerprint),
+            lambda: self._encode_live(model, window, fingerprint),
+        )
 
 
 class ExecutionPlan:
     """The single window -> scores code path shared by every consumer.
 
     Args:
-        model: anything implementing the encode/decode protocol
-            (:class:`repro.core.hisres.HisRES`, every
-            :class:`repro.baselines.base.TKGBaseline`), or — as a
-            legacy escape hatch — any object with ``predict_entities``.
+        model: a :class:`~repro.nn.module.Module` implementing the
+            encode/decode protocol (:class:`repro.core.hisres.HisRES`,
+            every :class:`repro.baselines.base.TKGBaseline`).
         cache: optional :class:`EncoderStateCache`; None always
             encodes live (the pre-refactor fused behaviour).
         model_key: cache-key namespace (registry key in serving).
@@ -367,9 +280,7 @@ class ExecutionPlan:
 
     @property
     def supports_split(self) -> bool:
-        return bool(getattr(self.model, "supports_encode_split", False)) and hasattr(
-            self.model, "encode"
-        )
+        return bool(getattr(self.model, "supports_encode_split", False))
 
     # ------------------------------------------------------------------
     def encode(self, window: HistoryWindow) -> EncoderState:
@@ -377,15 +288,13 @@ class ExecutionPlan:
         if self.cache is not None and self.supports_split:
             return self.cache.get_or_encode(self.model, window, model_key=self.model_key)
         with span("encoder.encode", owner=self.model_key):
-            with _inference(self.model):
+            with self.model.inference_mode():
                 return self.model.encode(window)
 
     def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         """Entity score matrix (n, |E|) as a plain array."""
-        if not hasattr(self.model, "encode"):  # legacy duck-typed models
-            return np.asarray(self.model.predict_entities(window, queries))
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self.model.decode(state, queries).data
 
     def entity_scores_range(
@@ -405,8 +314,6 @@ class ExecutionPlan:
         fused vocabulary models — computes the full decode and slices,
         which is range-consistent by construction.
         """
-        if not hasattr(self.model, "encode"):  # legacy duck-typed models
-            return np.asarray(self.model.predict_entities(window, queries))[:, lo:hi]
         state = self.encode(window)
         return self.decode_block(state, queries, lo, hi)
 
@@ -424,7 +331,7 @@ class ExecutionPlan:
         :func:`candidate_scores_range`), so blocking changes the call
         count, never the numbers.
         """
-        with _inference(self.model):
+        with self.model.inference_mode():
             decode_range = getattr(self.model, "decode_entity_range", None)
             if decode_range is not None and not state.fused:
                 return np.asarray(decode_range(state, queries, lo, hi))
@@ -437,14 +344,14 @@ class ExecutionPlan:
         decode_relations = getattr(self.model, "decode_relations", None)
         if decode_relations is None:
             return None
-        with _inference(self.model):
+        with self.model.inference_mode():
             logits = decode_relations(state, queries)
         return None if logits is None else np.asarray(logits.data)
 
     def relation_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         """Relation score matrix (n, 2|R|) for joint models."""
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             logits = self.model.decode_relations(state, queries)
         if logits is None:
             raise TypeError(
@@ -458,7 +365,7 @@ class ExecutionPlan:
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Both rankings from ONE encoder state (the evaluator hot path)."""
         state = self.encode(window)
-        with _inference(self.model):
+        with self.model.inference_mode():
             entity = self.model.decode(state, queries).data
             relation_logits = self.model.decode_relations(state, queries)
             relation = None if relation_logits is None else relation_logits.data
@@ -591,16 +498,16 @@ class ScopedExecutionPlan:
             state = cache.get_or_encode(self.model, induced, model_key=self.plan.model_key)
         else:
             with span("encoder.encode", owner=f"{self.plan.model_key}.scoped"):
-                with _inference(self.model):
+                with self.model.inference_mode():
                     state = self.model.encode(induced)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self._scatter_state(state, induced)
 
     def entity_scores(self, window: HistoryWindow, queries: np.ndarray) -> np.ndarray:
         if not self.supports_scoping:
             return self.plan.entity_scores(window, queries)
         state = self.encode(window, queries)
-        with _inference(self.model):
+        with self.model.inference_mode():
             return self.model.decode(state, queries).data
 
     def entity_scores_range(
@@ -628,7 +535,7 @@ class ScopedExecutionPlan:
         if not self.supports_scoping:
             return self.plan.relation_scores(window, queries)
         state = self.encode(window, queries)
-        with _inference(self.model):
+        with self.model.inference_mode():
             logits = self.model.decode_relations(state, queries)
         if logits is None:
             raise TypeError(
@@ -701,8 +608,8 @@ def group_steps(
       so no two neighbouring groups could have been merged.
 
     With ``groupable=False`` every step becomes its own group (fused
-    models, whose decode consumes per-query window inputs, and legacy
-    duck-typed models take this path so their behaviour is untouched).
+    models, whose decode consumes per-query window inputs, take this
+    path so their behaviour is untouched).
     """
     current: List[TimelineStep] = []
     current_fp: Optional[Hashable] = None
@@ -767,7 +674,7 @@ class TimelineBatcher:
     @property
     def groupable(self) -> bool:
         """Only split models group: their frozen states decode any
-        query block, while fused/legacy decodes stay per-step."""
+        query block, while fused decodes stay per-step."""
         return self.base_plan.supports_split
 
     # ------------------------------------------------------------------
@@ -818,16 +725,6 @@ class TimelineBatcher:
         lo: int,
         hi: Optional[int],
     ) -> Iterator[Tuple[TimelineStep, Optional[np.ndarray], Optional[np.ndarray]]]:
-        model = self.model
-        if not hasattr(model, "encode"):
-            # legacy duck-typed models: fused per-step scoring, original path
-            for step in group:
-                entity_rows = None
-                if entities:
-                    scores = self.base_plan.entity_scores(step.window, step.queries)
-                    entity_rows = scores if hi is None else scores[:, lo:hi]
-                yield step, entity_rows, None
-            return
         if hi is None:
             raise ValueError("TimelineBatcher needs num_entities (or an explicit hi)")
         window = group[0].window

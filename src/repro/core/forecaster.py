@@ -44,8 +44,7 @@ class Forecaster:
     """Stateful wrapper for step-ahead TKG prediction.
 
     Args:
-        model: any model speaking the encode/decode protocol (or
-            exposing ``predict_entities(window, queries)``).
+        model: any model speaking the encode/decode protocol.
         num_entities / num_relations: vocabulary sizes (base relations).
         window_config: how windows are assembled (must match training);
             the individual keyword arguments below are legacy aliases

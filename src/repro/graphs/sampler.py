@@ -33,8 +33,6 @@ apply unchanged.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -42,6 +40,7 @@ import numpy as np
 
 from repro.graphs.compiled import compiled
 from repro.graphs.snapshot import SnapshotGraph, stable_array_digest
+from repro.obs.cache import LRUCache
 from repro.obs.metrics import get_registry
 
 __all__ = [
@@ -304,9 +303,11 @@ class NeighborSampler:
     One instance is shared by a consumer (trainer epoch, serving
     engine); repeated query batches over the same window content reuse
     the induced graphs — and with them the compiled layouts memoized on
-    each induced graph instance.  Events land on the obs registry as
-    ``repro_sampler_events_total{owner,event}`` with
-    ``event in (hit, miss, identity)``.
+    each induced graph instance.  The induced-window cache is an
+    :class:`~repro.obs.cache.LRUCache` (``cache="sampler"``); misses
+    whose closure covers the whole window are also counted on
+    ``repro_sampler_identity_total{owner}`` — a sampling outcome, not
+    a cache event.
     """
 
     def __init__(
@@ -320,17 +321,13 @@ class NeighborSampler:
         self.seed = int(seed)
         self.cache_entries = int(cache_entries)
         self.owner = owner
-        self._cache: "OrderedDict[Hashable, Tuple]" = OrderedDict()
-        self._lock = threading.Lock()
-        family = get_registry().counter(
-            "repro_sampler_events_total",
-            "Neighbor-sampler induced-window cache events per owner.",
-            labelnames=("owner", "event"),
-        )
-        self._counters = {
-            event: family.labels(owner=owner, event=event)
-            for event in ("hit", "miss", "identity")
-        }
+        self._cache = LRUCache(self.cache_entries, cache="sampler", owner=owner)
+        self._identity = get_registry().counter(
+            "repro_sampler_identity_total",
+            "Sampled closures that covered the whole window, per owner.",
+            labelnames=("owner",),
+        ).labels(owner=owner)
+        self.identity = 0
 
     def _key(self, window, seeds: np.ndarray) -> Hashable:
         return (
@@ -344,28 +341,26 @@ class NeighborSampler:
     def induce(self, window, seeds) -> Tuple[object, SampleScope]:
         """(induced window, scope) for a query batch; cached on content."""
         seeds = np.unique(np.asarray(seeds, dtype=np.int64).reshape(-1))
-        key = self._key(window, seeds)
-        with self._lock:
-            hit = self._cache.get(key)
-            if hit is not None:
-                self._cache.move_to_end(key)
-        if hit is not None:
-            self._counters["hit"].inc()
-            return hit
+        return self._cache.get_or_build(
+            self._key(window, seeds), lambda: self._sample(window, seeds)
+        )
+
+    def _sample(self, window, seeds: np.ndarray) -> Tuple[object, SampleScope]:
         scope = sample_scope(window, seeds, self.spec, seed=self.seed)
-        induced = induce_window(window, scope)
-        self._counters["identity" if scope.identity else "miss"].inc()
-        if self.cache_entries > 0:
-            with self._lock:
-                self._cache[key] = (induced, scope)
-                while len(self._cache) > self.cache_entries:
-                    self._cache.popitem(last=False)
-        return induced, scope
+        if scope.identity:
+            self.identity += 1
+            self._identity.inc()
+        return induce_window(window, scope), scope
 
     def stats(self) -> Dict[str, int]:
+        """Cache counts; ``miss`` counts only misses that sampled a
+        proper subgraph, ``identity`` the ones that covered the window."""
+        cache = self._cache.stats()
         return {
-            "entries": len(self._cache),
+            "entries": cache["entries"],
             "fanout": list(self.spec.key()),
             "seed": self.seed,
-            **{event: int(c.value) for event, c in self._counters.items()},
+            "hit": cache["hits"],
+            "miss": cache["misses"] - self.identity,
+            "identity": self.identity,
         }

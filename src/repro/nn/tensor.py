@@ -446,7 +446,19 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
+        # two-branch form 1/(1+e) for x >= 0, e/(1+e) for x < 0, with
+        # e = exp(-|x|): exp never overflows, and its underflow to 0 is
+        # the exact saturated limit.  The numerator max(e, [x >= 0])
+        # picks the branch without a data-dependent select.
+        x = self.data
+        e = np.abs(x, out=np.empty_like(x))
+        np.negative(e, out=e)
+        with np.errstate(under="ignore"):
+            np.exp(e, out=e)
+        out_data = np.greater_equal(x, 0, out=np.empty_like(e), casting="unsafe")
+        np.maximum(e, out_data, out=out_data)
+        np.add(e, 1.0, out=e)
+        np.divide(out_data, e, out=out_data)
 
         def backward(grad: np.ndarray) -> None:
             out._send(self, grad * out_data * (1.0 - out_data))

@@ -1,13 +1,16 @@
 """repro.obs — the unified observability plane.
 
-One package gives training and serving the same three instruments:
+One package gives training and serving the same four instruments:
 
 - :mod:`repro.obs.metrics` — a process-wide **metrics registry**
   (counters, gauges, bounded histograms; labeled series; Prometheus
   text exposition via ``GET /metrics``).  The HTTP latency histograms,
-  compiled-graph build/hit counters, window-builder cache counters, and
-  trainer gauges all live here — ``/stats`` and ``/metrics`` read the
+  compiled-graph build/hit counters, cache counters, and trainer
+  gauges all live here — ``/stats`` and ``/metrics`` read the
   same objects.
+- :mod:`repro.obs.cache` — the one **LRU primitive**; every cache in
+  the system is an :class:`~repro.obs.cache.LRUCache` and reports the
+  same ``repro_cache_events_total`` / ``repro_cache_entries`` series.
 - :mod:`repro.obs.trace` — a **span tracer**: nested context-manager
   spans with attributes, exported as Chrome ``trace_event`` JSON or a
   human-readable tree.  Disabled spans are a shared no-op object.
@@ -34,6 +37,7 @@ On top of the in-process plane sits the **cross-run** layer:
   terminal sparklines, Markdown, or static HTML.
 """
 
+from repro.obs.cache import LRUCache
 from repro.obs.health import HealthMonitor, TrainingAborted, WatchdogPolicy
 from repro.obs.logging import LOG_FORMAT, configure_logging, log_event
 from repro.obs.metrics import (
@@ -79,6 +83,7 @@ __all__ = [
     "HealthMonitor",
     "Histogram",
     "LOG_FORMAT",
+    "LRUCache",
     "MetricFamily",
     "MetricsRegistry",
     "OpProfiler",

@@ -48,6 +48,7 @@ __all__ = [
     "REGISTRY",
     "get_registry",
     "parse_prometheus_text",
+    "percentile",
     "DEFAULT_BUCKETS",
 ]
 
@@ -82,6 +83,22 @@ def _render_labels(labelnames: Sequence[str], labelvalues: Sequence[str]) -> str
         for name, value in zip(labelnames, labelvalues)
     )
     return "{" + inner + "}"
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an unsorted sample list (q in [0, 100]).
+
+    Uses the classic nearest-rank definition ``rank = ceil(q/100 * n)``
+    (1-based), with ``q=0`` mapping to the minimum and ``q`` clamped to
+    ``[0, 100]``; an empty list yields 0.0.
+    """
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    if q <= 0:
+        return float(ordered[0])
+    rank = math.ceil(min(float(q), 100.0) / 100.0 * len(ordered))
+    return float(ordered[min(rank, len(ordered)) - 1])
 
 
 class Counter:
@@ -220,15 +237,8 @@ class Histogram:
             return list(self._ring)
 
     def percentile(self, q: float) -> float:
-        """Nearest-rank percentile over the recent-sample ring."""
-        samples = self.samples()
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        if q <= 0:
-            return ordered[0]
-        rank = math.ceil(min(q, 100.0) / 100.0 * len(ordered))
-        return ordered[min(rank, len(ordered)) - 1]
+        """Nearest-rank :func:`percentile` over the recent-sample ring."""
+        return percentile(self.samples(), q)
 
     def cumulative_counts(self) -> List[int]:
         with self._lock:

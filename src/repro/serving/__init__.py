@@ -6,7 +6,7 @@ package serves *live* extrapolation traffic from a trained checkpoint:
 - :class:`OnlineHistoryStore` — streaming quadruple ingestion over the
   rolling ``l``-snapshot window + incremental global-relevance index;
 - :class:`InferenceEngine` — checkpoint loading, LRU-cached and
-  micro-batched ``predict_entities`` calls, top-k extraction;
+  micro-batched blocked decodes, top-k extraction;
 - :func:`create_server` / :class:`ServingServer` — stdlib JSON-over-
   HTTP frontend (``/ingest``, ``/predict``, ``/health``, ``/stats``);
 - :class:`ServingClient` — urllib client (used by ``repro.cli``).
@@ -30,7 +30,6 @@ Quickstart::
 """
 
 from repro.serving.audit import AUDIT_DEFAULT_CAPACITY, RequestAudit
-from repro.serving.cache import LRUCache
 from repro.serving.client import ServingClient, ServingError
 from repro.serving.federation import ClusterMetricsFederator, federated_name
 from repro.serving.cluster import (
@@ -71,7 +70,6 @@ __all__ = [
     "EndpointStats",
     "EntityShard",
     "InferenceEngine",
-    "LRUCache",
     "LocalCluster",
     "MicroBatcher",
     "OnlineHistoryStore",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,9 +38,9 @@ from repro.core.execution import (
 )
 from repro.graphs.sampler import NeighborSampler
 from repro.nn.serialization import load_checkpoint, read_checkpoint_metadata
+from repro.obs.cache import LRUCache
 from repro.obs.metrics import get_registry
 from repro.obs.trace import span
-from repro.serving.cache import LRUCache
 from repro.serving.store import OnlineHistoryStore
 
 
@@ -129,7 +128,8 @@ class InferenceEngine:
     """Serve top-k object predictions for ``(s, r, ?, t)`` queries.
 
     Args:
-        model: any model exposing ``predict_entities(window, queries)``.
+        model: a registered model (HisRES or any baseline); requests
+            score through its :class:`~repro.core.execution.ExecutionPlan`.
         store: the online history state (shared with ingestion).
         model_key: registry key, used in cache keys and ``/stats``.
         cache_entries: per-pair prediction LRU capacity (0 disables).
@@ -167,7 +167,7 @@ class InferenceEngine:
         self.store = store
         self.model_key = model_key
         self.metadata = dict(metadata or {})
-        self.cache = LRUCache(max_entries=cache_entries)
+        self.cache = LRUCache(cache_entries, cache="prediction", owner="serving")
         if state_cache is not None:
             self.state_cache = state_cache
         else:
@@ -196,8 +196,7 @@ class InferenceEngine:
             else None
         )
         # recency ring of distinct (s, r) pairs for refresh_hot_pairs
-        self._hot_pairs: "OrderedDict[Tuple[int, int], None]" = OrderedDict()
-        self._hot_pairs_cap = 1024
+        self.hot_pairs = LRUCache(1024, cache="hot_pairs", owner="serving")
         encode_family = get_registry().counter(
             "repro_engine_encode_total",
             "Engine decode executions by encode mode (full vs scoped cold-miss).",
@@ -321,17 +320,12 @@ class InferenceEngine:
         results: Dict[Tuple[int, int], np.ndarray] = {}
         todo: List[Tuple[int, int]] = []
         for pair in dict.fromkeys(pairs):  # dedup, keep order
-            found, scores = self.cache.get(self._cache_key(pair, version))
-            if found:
+            scores = self.cache.get(self._cache_key(pair, version))
+            if scores is not None:
                 results[pair] = scores
             else:
                 todo.append(pair)
-        with self._warm_lock:
-            for pair in dict.fromkeys(pairs):
-                self._hot_pairs[pair] = None
-                self._hot_pairs.move_to_end(pair)
-            while len(self._hot_pairs) > self._hot_pairs_cap:
-                self._hot_pairs.popitem(last=False)
+            self.hot_pairs.put(pair, None)
         if todo:
             queries = np.zeros((len(todo), 4), dtype=np.int64)
             for i, (s, r) in enumerate(todo):
@@ -475,8 +469,7 @@ class InferenceEngine:
         rollover, so the next wave of requests for hot pairs is served
         from cache instead of paying per-request decodes.
         """
-        with self._warm_lock:
-            pairs = list(self._hot_pairs)[-max(0, int(limit)):]
+        pairs = self.hot_pairs.keys()[-max(0, int(limit)):]
         if not pairs:
             return {"refreshed": 0}
         version = self.store.window_version
@@ -533,7 +526,7 @@ class InferenceEngine:
 
         Each query: ``{"subject": s, "relation": r, "top_k"?: k,
         "inverse"?: bool}``.  The whole list is deduplicated and scored
-        in a single ``predict_entities`` call (modulo cache hits).
+        in a single blocked decode (modulo cache hits).
         """
         parsed = [
             (
@@ -561,11 +554,11 @@ class InferenceEngine:
             "model": self.model_key,
             "queries_served": self._queries_served,
             "predict_calls": self._predict_calls,
-            "cache": self.cache.stats(),
+            "cache": {**self.cache.stats(), "max_entries": self.cache.capacity},
             "state_cache": None if self.state_cache is None else self.state_cache.stats(),
             "batching": self._batcher.stats(),
             "store": self.store.stats(),
             "encode_modes": dict(self._encode_mode_counts),
             "scoped_cold_start": None if self.scoped_plan is None else self.scoped_plan.stats(),
-            "hot_pairs_tracked": len(self._hot_pairs),
+            "hot_pairs_tracked": len(self.hot_pairs),
         }

@@ -438,21 +438,15 @@ class ServingHandler(BaseJSONHandler):
 def _engine_collector(engine: InferenceEngine, registry: MetricsRegistry):
     """Bridge engine-owned counters onto the registry at scrape time.
 
-    The engine's LRU cache, micro-batcher, and store keep their own
-    counters (they predate the registry and back ``/stats`` directly);
-    rather than double-count, this collector refreshes registry series
-    from those owners right before every ``/metrics`` render.
+    The engine's micro-batcher and store keep their own counters (they
+    predate the registry and back ``/stats`` directly); rather than
+    double-count, this collector refreshes registry series from those
+    owners right before every ``/metrics`` render.  The engine's caches
+    need no bridge: :class:`~repro.obs.cache.LRUCache` counts live on
+    the registry.
     """
     window_version = registry.gauge(
         "repro_window_version", "History-store window version (bumps per sealed snapshot)."
-    )
-    cache_events = registry.counter(
-        "repro_prediction_cache_events_total",
-        "Prediction-cache hits/misses/evictions.",
-        labelnames=("event",),
-    )
-    cache_entries = registry.gauge(
-        "repro_prediction_cache_entries", "Prediction-cache resident entries."
     )
     queries = registry.counter(
         "repro_engine_queries_served_total", "Queries answered by the engine."
@@ -472,11 +466,8 @@ def _engine_collector(engine: InferenceEngine, registry: MetricsRegistry):
 
     def collect() -> None:
         stats = engine.stats()
-        store, cache, batching = stats["store"], stats["cache"], stats["batching"]
+        store, batching = stats["store"], stats["batching"]
         window_version.set(store["window_version"])
-        for event in ("hits", "misses", "evictions"):
-            cache_events.labels(event=event).inc_to(cache[event])
-        cache_entries.set(cache["entries"])
         queries.inc_to(stats["queries_served"])
         forwards.inc_to(stats["predict_calls"])
         batches.inc_to(batching["batches"])

@@ -247,16 +247,13 @@ class TieredStateCache(EncoderStateCache):
     def get_or_encode(self, model, window: HistoryWindow, model_key: str = "model") -> EncoderState:
         fingerprint = window.fingerprint()
         key = self._key(model, model_key, fingerprint)
-        state = self._cache_get(key)
-        if state is not None:
-            return state
-        self.misses += 1
-        self._counters["miss"].inc()
+        return self.get_or_build(key, lambda: self._load_or_encode(model, window, key, fingerprint))
 
+    def _load_or_encode(self, model, window: HistoryWindow, key: Hashable, fingerprint) -> EncoderState:
+        """The in-memory miss path: shared tier, then single-flight encode."""
         state = self.tier.load(key)
         if state is not None:
             self.tier.count("hit")
-            self._cache_put(key, state)
             return state
         self.tier.count("miss")
 
@@ -267,15 +264,14 @@ class TieredStateCache(EncoderStateCache):
                     self.tier.count("publish")
             finally:
                 self.tier.release(key)
-        else:
-            self.tier.count("wait")
-            with span("state_tier.wait", owner=self.owner):
-                state = self.tier.wait_for(key)
-            if state is None:
-                # winner stalled or died: encode locally rather than fail
-                self.tier.count("fallback")
-                state = self._encode_live(model, window, fingerprint)
-        self._cache_put(key, state)
+            return state
+        self.tier.count("wait")
+        with span("state_tier.wait", owner=self.owner):
+            state = self.tier.wait_for(key)
+        if state is None:
+            # winner stalled or died: encode locally rather than fail
+            self.tier.count("fallback")
+            state = self._encode_live(model, window, fingerprint)
         return state
 
     def stats(self) -> Dict[str, Any]:

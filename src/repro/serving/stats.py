@@ -16,30 +16,11 @@ one process (e.g. under tests) share per-route series; pass a private
 
 from __future__ import annotations
 
-import math
 import time
 from threading import Lock
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list (q in [0, 100]).
-
-    Uses the classic nearest-rank definition ``rank = ceil(q/100 * n)``
-    (1-based), with ``q=0`` mapping to the minimum.  The previous
-    implementation rounded ``q/100 * (n-1)`` with :func:`round`, whose
-    banker's rounding picks the wrong rank on small windows — e.g. the
-    p50 of 4 samples came back as the 3rd-smallest instead of the 2nd.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if q <= 0:
-        return float(ordered[0])
-    rank = math.ceil(min(float(q), 100.0) / 100.0 * len(ordered))
-    return float(ordered[min(rank, len(ordered)) - 1])
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry, percentile
 
 
 class EndpointStats:

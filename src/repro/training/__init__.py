@@ -14,23 +14,12 @@ from repro.training.seeding import seed_everything
 from repro.training.history import EpochRecord, TrainingHistory
 from repro.training.multiseed import AggregateMetric, run_seeds, significant_difference
 
-def __getattr__(name: str):
-    # deprecated alias: defer to the evaluator module so the one
-    # DeprecationWarning definition covers both import paths
-    if name == "Evaluator":
-        from repro.training import evaluator
-
-        return evaluator.Evaluator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "RankingResult",
     "filtered_ranks",
     "hits_at",
     "mrr",
     "summarize_ranks",
-    "Evaluator",
     "TimelineEvaluator",
     "build_time_filter",
     "QueryBatchLoader",

@@ -46,9 +46,9 @@ class TrainResult:
 class Trainer:
     """Fits any window-consuming TKG model on a dataset.
 
-    The model must expose ``loss(window, queries) -> Tensor``,
-    ``predict_entities(window, queries) -> np.ndarray``,
-    ``parameters()``, ``train()``/``eval()``, and ``zero_grad()``.
+    The model is a :class:`~repro.nn.module.Module` exposing
+    ``loss(window, queries) -> Tensor``; evaluation scores it through
+    the encode/decode protocol of an :class:`ExecutionPlan`.
     """
 
     def __init__(

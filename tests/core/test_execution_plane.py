@@ -143,11 +143,11 @@ class TestEncoderStateCache:
         assert stats["hit_rate"] == pytest.approx(0.5)
         text = get_registry().render_prometheus()
         assert (
-            'repro_encoder_state_cache_events_total{owner="stats_test",event="hit"} 1'
+            'repro_cache_events_total{cache="encoder_state",owner="stats_test",event="hit"} 1'
             in text
         )
         assert (
-            'repro_encoder_state_cache_events_total{owner="stats_test",event="miss"} 1'
+            'repro_cache_events_total{cache="encoder_state",owner="stats_test",event="miss"} 1'
             in text
         )
 
@@ -251,16 +251,9 @@ class TestFloat64Parity:
         n = min(3, len(tiny_dataset.valid.facts_by_time()))
         from repro.obs.metrics import get_registry
 
-        miss_counter = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        ).labels(owner="evaluator", event="miss")
-        hit_counter = get_registry().counter(
-            "repro_encoder_state_cache_events_total",
-            "Encoder-state cache hits/misses/evictions per owner.",
-            labelnames=("owner", "event"),
-        ).labels(owner="evaluator", event="hit")
+        events = get_registry().get("repro_cache_events_total")
+        miss_counter = events.labels(cache="encoder_state", owner="evaluator", event="miss")
+        hit_counter = events.labels(cache="encoder_state", owner="evaluator", event="hit")
         misses_before, hits_before = miss_counter.value, hit_counter.value
         entity_result, relation_result = evaluator.evaluate_joint(
             model, builder, tiny_dataset.valid,
@@ -400,17 +393,6 @@ class TestExecutionPlanContracts:
         with pytest.raises(TypeError, match="relation decoder"):
             plan.relation_scores(window, queries)
 
-    def test_duck_typed_model_fallback(self):
-        class Legacy:
-            def predict_entities(self, window, queries):
-                return np.ones((len(queries), E))
-
-        plan = ExecutionPlan(Legacy())
-        builder = WindowBuilder(E, R, history_length=2, use_global=False)
-        window, queries, _ = _window(builder=builder)
-        assert plan.entity_scores(window, queries).shape == (3, E)
-        assert not plan.supports_split
-
     def test_loss_encodes_live_under_grad(self):
         model = _hisres()
         model.train()
@@ -420,17 +402,6 @@ class TestExecutionPlanContracts:
         loss.backward()
         assert plan.cache.misses == 0  # the loss path never touches the cache
         assert any(p.grad is not None for p in model.parameters())
-
-    def test_evaluator_alias_deprecated(self):
-        import repro.training
-        import repro.training.evaluator as evaluator_module
-
-        with pytest.warns(DeprecationWarning, match="TimelineEvaluator"):
-            alias = evaluator_module.Evaluator
-        assert alias is TimelineEvaluator
-        with pytest.warns(DeprecationWarning, match="TimelineEvaluator"):
-            alias = repro.training.Evaluator
-        assert alias is TimelineEvaluator
 
 
 class TestWindowConfig:

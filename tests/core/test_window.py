@@ -138,9 +138,11 @@ class TestGraphCacheCapacity:
             b.absorb(_quads(t, [(0, 0, 1)]))
             b.window_for(_quads(t, [(0, 0, 1)]), prediction_time=t)
         stats = b.cache_stats()
-        assert "repro_window_cache_entries" in get_registry().render_prometheus()
+        entries = get_registry().get("repro_cache_entries")
         for name in ("snapshot", "merged", "global"):
-            assert b._cache_gauges[name].value == stats[f"{name}_entries"]
+            owner = getattr(b, f"_{name}_cache").owner
+            gauge = entries.labels(cache=f"window_{name}", owner=owner)
+            assert gauge.value == stats[f"{name}_entries"]
         assert stats["snapshot_entries"] >= 1
 
 

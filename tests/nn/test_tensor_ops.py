@@ -76,6 +76,15 @@ class TestElementwise:
         x = rng.normal(size=(3, 4)) + 0.05  # nudge away from relu/abs kinks
         check_gradients(lambda a: getattr(a, name)(), x)
 
+    def test_sigmoid_saturates_without_float_errors(self):
+        """At x = -1000 the one-branch ``1/(1+exp(-x))`` overflowed exp."""
+        x = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0])
+        with np.errstate(all="raise"):
+            out = Tensor(x).sigmoid().data
+            check_gradients(lambda a: a.sigmoid(), x)
+        assert out[0] == 0.0 and out[-1] == 1.0
+        np.testing.assert_allclose(out[1:4], 1.0 / (1.0 + np.exp(-x[1:4])), rtol=1e-15)
+
     def test_log_grad(self, rng):
         check_gradients(lambda a: a.log(), rng.uniform(0.5, 2.0, size=(3, 3)))
 

@@ -120,28 +120,33 @@ def _time_once(a, b, inner=30):
 def test_disabled_profiler_overhead_under_5_percent():
     """Enabling then disabling must leave the tensor fast path untouched.
 
-    Timing noise on a shared CPU dwarfs any single measurement, so the
-    bound is asserted on the *median of adjacent baseline/after pairs*
-    (alternating order within each pair): drift affects both halves of
-    a pair equally and cancels in the ratio.
+    Every patched method must be the very object it was before the
+    cycle.  For timing, each round times the step before and after one
+    enable/disable cycle; a leaked wrapper slows every "after" against
+    its own baseline.  Timing noise on a shared CPU dwarfs any single
+    measurement, so the bound is asserted on the median ratio over the
+    rounds: drift affects both halves of a round alike and cancels.
     """
     import statistics
 
+    from repro import _obshook
+    from repro.obs.profiler import _TENSOR_METHODS
+
+    attrs = [attr for attr, _ in _TENSOR_METHODS] + ["backward"]
     rng = np.random.default_rng(0)
     a = Tensor(rng.standard_normal((96, 96)), requires_grad=True)
     b = Tensor(rng.standard_normal((96, 96)), requires_grad=True)
     _time_once(a, b)  # warm caches
-    with OpProfiler():  # exercise the patch/restore cycle under test
-        _step(a, b)
+    before = {attr: vars(Tensor)[attr] for attr in attrs}
     ratios = []
-    for i in range(12):
-        if i % 2 == 0:
-            baseline = _time_once(a, b)
-            after = _time_once(a, b)
-        else:
-            after = _time_once(a, b)
-            baseline = _time_once(a, b)
-        ratios.append(after / baseline)
+    for _ in range(24):
+        baseline = _time_once(a, b)
+        with OpProfiler():  # exercise the patch/restore cycle under test
+            _step(a, b)
+        ratios.append(_time_once(a, b) / baseline)
+        for attr in attrs:
+            assert vars(Tensor)[attr] is before[attr], f"Tensor.{attr} still patched"
+        assert _obshook.HOOK is None
     median = statistics.median(ratios)
     assert median <= 1.05, (
         f"disabled instrumentation added {(median - 1) * 100:.1f}% overhead"

@@ -256,9 +256,9 @@ class TestHotPairRefresh:
         _, path = _checkpoint(tmp_path)
         engine = InferenceEngine.from_checkpoint(path, batch_window_s=0.0)
         engine.store.warm_up(tiny_dataset.train)
-        engine._hot_pairs_cap = 4
+        engine.hot_pairs.capacity = 4
         for s in range(8):
             engine.scores_for(s, 0)
         assert engine.stats()["hot_pairs_tracked"] == 4
         # oldest pairs evicted, newest retained
-        assert list(engine._hot_pairs) == [(4, 0), (5, 0), (6, 0), (7, 0)]
+        assert engine.hot_pairs.keys() == [(4, 0), (5, 0), (6, 0), (7, 0)]

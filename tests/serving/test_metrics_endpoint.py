@@ -77,23 +77,29 @@ class TestMetricsEndpoint:
 
     def test_cache_and_engine_counters_exported(self, served):
         server, engine = served
+
+        def exported(text, event):
+            match = re.search(
+                r'repro_cache_events_total\{cache="prediction",owner="serving",'
+                rf'event="{event}"\}} (\d+)',
+                text,
+            )
+            assert match, f"prediction-cache {event} series missing"
+            return int(match.group(1))
+
+        _, text = _get(server.url + "/metrics")
+        before = {event: exported(text, event) for event in ("hit", "miss")}
+        stats_before = engine.cache.stats()
         _post(server.url + "/predict", {"subject": 1, "relation": 1})
         _post(server.url + "/predict", {"subject": 1, "relation": 1})  # cache hit
         _, text = _get(server.url + "/metrics")
-        hits = re.search(
-            r'repro_prediction_cache_events_total\{event="hits"\} (\d+)', text
-        )
-        misses = re.search(
-            r'repro_prediction_cache_events_total\{event="misses"\} (\d+)', text
-        )
-        assert hits and misses
-        assert int(hits.group(1)) >= 1
-        assert int(misses.group(1)) >= 1
-        # bridged counts agree with the owner (the LRU cache)
-        assert int(hits.group(1)) == engine.cache.stats()["hits"]
+        stats = engine.cache.stats()
+        # live registry counts move exactly with the owner (the LRU cache)
+        assert exported(text, "hit") - before["hit"] == stats["hits"] - stats_before["hits"] >= 1
+        assert exported(text, "miss") - before["miss"] == stats["misses"] - stats_before["misses"]
         assert "repro_engine_queries_served_total" in text
         assert "repro_compiled_graph_builds_total" in text
-        assert "repro_window_cache_events_total" in text
+        assert 'repro_cache_events_total{cache="window_snapshot"' in text
 
     def test_encoder_state_cache_counters_exported(self, served):
         """Cold (s, r) pairs on a quiet window share one encode: the
@@ -106,17 +112,17 @@ class TestMetricsEndpoint:
             _post(server.url + "/predict", {"subject": pair[0], "relation": pair[1]})
         _, text = _get(server.url + "/metrics")
         hit = re.search(
-            r'repro_encoder_state_cache_events_total\{owner="serving",event="hit"\} (\d+)',
+            r'repro_cache_events_total\{cache="encoder_state",owner="serving",event="hit"\} (\d+)',
             text,
         )
         miss = re.search(
-            r'repro_encoder_state_cache_events_total\{owner="serving",event="miss"\} (\d+)',
+            r'repro_cache_events_total\{cache="encoder_state",owner="serving",event="miss"\} (\d+)',
             text,
         )
         assert hit and miss, "encoder-state cache counters missing from /metrics"
         assert int(miss.group(1)) >= 1
         assert int(hit.group(1)) >= 1, "no state-cache hits on a quiet window"
-        assert 'repro_encoder_state_cache_entries{owner="serving"}' in text
+        assert 'repro_cache_entries{cache="encoder_state",owner="serving"}' in text
         # /stats reads the same underlying cache (the registry counters
         # are cumulative across every serving-owned cache in the
         # process, so exported >= this instance's counts)
@@ -151,3 +157,61 @@ class TestMetricsEndpoint:
             r'repro_http_requests_total\{route="GET /health"\} (\d+)', text
         ).group(1))
         assert exported >= stats["requests"]
+
+
+_CACHES = (
+    "encoder_state", "window_snapshot", "window_merged", "window_global",
+    "prediction", "hot_pairs", "sampler",
+)
+_OLD_FAMILIES = (
+    "repro_encoder_state_cache_events_total", "repro_encoder_state_cache_entries",
+    "repro_window_cache_events_total", "repro_window_cache_entries",
+    "repro_sampler_events_total",
+    "repro_prediction_cache_events_total", "repro_prediction_cache_entries",
+)
+
+
+def test_every_cache_reports_one_series_vocabulary(tmp_path, tiny_dataset):
+    """Every cache of a live scoped-cold-start server exports the same
+    hit/miss/evict + entries series, and no old per-cache family."""
+    from repro.obs.metrics import parse_prometheus_text
+
+    E, R = tiny_dataset.num_entities, tiny_dataset.num_relations
+    model = build_model("hisres", E, R, dim=8)
+    path = str(tmp_path / "hisres.npz")
+    save_checkpoint(model, path, metadata={
+        "model": "hisres", "num_entities": E, "num_relations": R, "dim": 8,
+        "window": {"history_length": 2, "use_global": True},
+    })
+    engine = InferenceEngine.from_checkpoint(
+        path, cache_entries=2, batch_window_s=0.0, scoped_cold_start="2,1"
+    )
+    engine.store.warm_up(tiny_dataset.train)
+    server, _ = serve_in_thread(engine)
+    try:
+        _post(server.url + "/ingest", {
+            "events": [[0, 0, 1], [2, 1, 3]],
+            "timestamp": engine.store.current_time + 1,
+            "flush": True,
+        })
+        for s, r in ((0, 0), (0, 0), (1, 1), (2, 0), (0, 0)):
+            _post(server.url + "/predict", {"subject": s, "relation": r})
+            engine.join_warmups(timeout=30)
+        _, text = _get(server.url + "/metrics")
+    finally:
+        server.shutdown()
+        server.server_close()
+    samples = parse_prometheus_text(text)
+    events = {
+        (x.labels["cache"], x.labels["event"])
+        for x in samples if x.name == "repro_cache_events_total"
+    }
+    entries = {x.labels["cache"] for x in samples if x.name == "repro_cache_entries"}
+    for cache in _CACHES:
+        for event in ("hit", "miss", "evict"):
+            assert (cache, event) in events, f"{cache} lacks {event} events"
+        assert cache in entries, f"{cache} lacks an entries gauge"
+    assert engine.cache.stats()["evictions"] >= 1
+    assert engine.cache.stats()["hits"] >= 1
+    for family in _OLD_FAMILIES:
+        assert family not in text, f"old cache family {family} still exported"
