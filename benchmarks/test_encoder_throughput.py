@@ -1,24 +1,23 @@
-"""Encoder throughput: the fused compute plane vs. the pre-refactor paths.
+"""Encoder throughput of the segment-kernel compute plane.
 
-Two measurements, one JSON report (``BENCH_encoder.json``):
+Two tests, each emitting only its own record (to the run ledger and to
+``BENCH_encoder.json``, which keeps the last record written):
 
-1. **Encoder walk** — full HisRES training steps (forward + backward)
-   per second over an ``icews14s_small`` timeline walk, under each
-   segment-op implementation (``fused`` / ``reference`` / ``dense``).
-   At this synthetic scale (~50-edge snapshots, 120 entities) the
-   encoder is matmul-bound, so the implementations land within noise of
-   each other — the walk documents that the plane never *slows down*
-   the small profiles.
-2. **Aggregation kernel block** — the ConvGAT aggregation core
-   (segment_softmax + weighted segment_sum, forward + backward) at real
-   ICEWS14 scale (20k edges over 7128 entities), where segment
-   reductions dominate.  This is where the acceptance bar is asserted:
-   the fused plane must be >= 2x the dense-reference ops measured in
-   the same run (it is typically >10x; the pre-refactor ``np.add.at``
-   path is also reported).
+1. ``test_encoder_fwd_bwd_throughput``:
 
-Implementations are switched with ``repro.nn.segment.segment_impl`` —
-the ``reference`` flag *is* the pre-refactor scatter path.
+   - **Encoder walk** — full HisRES training steps (forward + backward)
+     per second over an ``icews14s_small`` timeline walk on the
+     ``reduceat`` segment kernels.  At this synthetic scale (~50-edge
+     snapshots, 120 entities) the encoder is matmul-bound.
+   - **Aggregation kernel block** — the ConvGAT aggregation core
+     (segment_softmax + weighted segment_sum, forward + backward) at
+     real ICEWS14 scale (20k edges over 7128 entities), where segment
+     reductions dominate.  The acceptance bar: the production kernels
+     run >= 2x the test-side dense one-hot oracle
+     (``tests/nn/segment_oracles.py``) measured in the same run.
+
+2. ``test_sampled_vs_full_encoder_scaling`` — sampled vs full-graph
+   encode at 10x ICEWS14's entity count.
 """
 
 import os
@@ -39,24 +38,20 @@ from repro.data import generate_dataset
 from repro.experiments.runner import get_scale
 from repro.graphs import NeighborSampler
 from repro.nn import Adam
-from repro.nn.segment import SegmentLayout, segment_impl, segment_softmax, segment_sum
+from repro.nn.segment import SegmentLayout, segment_softmax, segment_sum
 from repro.nn.tensor import Tensor
 from repro.training import TimelineEvaluator, seed_everything
+from tests.nn.segment_oracles import segment_kernels
 
 from benchmarks.conftest import emit_bench, print_table
 
 DATASET = "icews14s_small"
-IMPLS = ("fused", "reference", "dense")
 BENCH_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_encoder.json"
 )
 
-# both tests contribute to one BENCH_encoder.json artifact; the later
-# emission carries whatever the earlier one stashed here
-_PAYLOAD = {}
 
-
-def _walk_steps_per_second(impl, dataset, items, dim):
+def _walk_steps_per_second(dataset, items, dim):
     """Full HisRES fwd+bwd steps/sec over a (cached) timeline walk."""
     seed_everything(7)
     config = HisRESConfig(
@@ -87,14 +82,13 @@ def _walk_steps_per_second(impl, dataset, items, dim):
             builder.absorb(quads)
         return done
 
-    with segment_impl(impl):
-        one_pass()  # warm pass fills the graph/layout caches
-        start = time.perf_counter()
-        done = one_pass()
-        return done / (time.perf_counter() - start)
+    one_pass()  # warm pass fills the graph/layout caches
+    start = time.perf_counter()
+    done = one_pass()
+    return done / (time.perf_counter() - start)
 
 
-def _kernel_blocks_per_second(impl, layout, values, scores, reps):
+def _kernel_blocks_per_second(kernels, layout, values, scores, reps):
     """ConvGAT aggregation core fwd+bwd at paper-scale edge counts."""
 
     def block():
@@ -104,7 +98,7 @@ def _kernel_blocks_per_second(impl, layout, values, scores, reps):
         out = segment_sum(v * weights.reshape(-1, 1), layout)
         (out * out).sum().backward()
 
-    with segment_impl(impl):
+    with segment_kernels(kernels):
         block()  # warm
         start = time.perf_counter()
         for _ in range(reps):
@@ -121,54 +115,41 @@ def test_encoder_fwd_bwd_throughput(benchmark):
     def run():
         dataset = generate_dataset(DATASET)
         items = sorted(dataset.train.facts_by_time().items())[:num_steps]
-        walk = {
-            impl: _walk_steps_per_second(impl, dataset, items, scale.dim)
-            for impl in IMPLS
-        }
+        walk = _walk_steps_per_second(dataset, items, scale.dim)
 
         rng = np.random.default_rng(14)
         layout = SegmentLayout(rng.integers(0, num_entities, num_edges), num_entities)
         values = rng.normal(size=(num_edges, scale.dim))
         scores = rng.normal(size=num_edges)
-        kernel = {
-            impl: _kernel_blocks_per_second(
-                impl, layout, values, scores, reps=2 if impl == "dense" else 8
-            )
-            for impl in IMPLS
-        }
-        return walk, kernel
+        kernel = _kernel_blocks_per_second("fused", layout, values, scores, reps=8)
+        dense = _kernel_blocks_per_second("dense", layout, values, scores, reps=2)
+        return walk, kernel, dense
 
-    walk, kernel = benchmark.pedantic(run, rounds=1, iterations=1)
-    kernel_speedup_dense = kernel["fused"] / max(kernel["dense"], 1e-9)
-    kernel_speedup_reference = kernel["fused"] / max(kernel["reference"], 1e-9)
+    walk, kernel, dense = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = kernel / max(dense, 1e-9)
 
-    rows = [
-        {
-            "impl": impl,
-            "walk_steps_s": walk[impl],
-            "kernel_blk_s": kernel[impl],
-            "kernel_speedup": kernel[impl] / max(kernel["dense"], 1e-9),
-        }
-        for impl in IMPLS
-    ]
     print_table(
         "Extension: HisRES encoder throughput (walk: icews14s_small; "
         "kernel: ICEWS14-scale aggregation)",
-        rows,
-        columns=("impl", "walk_steps_s", "kernel_blk_s", "kernel_speedup"),
+        [
+            {
+                "walk_steps_s": walk,
+                "kernel_blk_s": kernel,
+                "dense_oracle_blk_s": dense,
+                "kernel_speedup": speedup,
+            }
+        ],
+        columns=("walk_steps_s", "kernel_blk_s", "dense_oracle_blk_s", "kernel_speedup"),
     )
 
-    _PAYLOAD.update(
-        {
-            "walk_steps_per_second": {k: round(v, 3) for k, v in walk.items()},
-            "kernel_blocks_per_second": {k: round(v, 3) for k, v in kernel.items()},
-            "fused_speedup_vs_dense": round(kernel_speedup_dense, 3),
-            "fused_speedup_vs_reference": round(kernel_speedup_reference, 3),
-        }
-    )
     emit_bench(
         "encoder_throughput",
-        dict(_PAYLOAD),
+        {
+            "walk_steps_per_second": round(walk, 3),
+            "kernel_blocks_per_second": round(kernel, 3),
+            "dense_oracle_blocks_per_second": round(dense, 3),
+            "kernel_speedup_vs_dense": round(speedup, 3),
+        },
         json_path=BENCH_JSON,
         dataset=DATASET,
         seed=7,
@@ -181,14 +162,11 @@ def test_encoder_fwd_bwd_throughput(benchmark):
         },
     )
 
-    # acceptance bar: >= 2x over the dense-reference ops in the same run
-    assert kernel_speedup_dense >= 2.0, (
-        f"fused kernels only {kernel_speedup_dense:.2f}x over the dense "
-        f"reference ({kernel['fused']:.2f} vs {kernel['dense']:.2f} blocks/s)"
+    # acceptance bar: >= 2x over the dense oracle in the same run
+    assert speedup >= 2.0, (
+        f"segment kernels only {speedup:.2f}x over the dense oracle "
+        f"({kernel:.2f} vs {dense:.2f} blocks/s)"
     )
-    # the walk must not regress materially vs the pre-refactor scatter
-    # path (generous margin: this box's clock is noisy)
-    assert walk["fused"] >= walk["reference"] * 0.5
 
 
 def _scaling_window(num_entities, num_relations, edges_per_snapshot,
@@ -311,18 +289,15 @@ def test_sampled_vs_full_encoder_scaling(benchmark):
         columns=("plan", "encode_nodes", "batch_seconds", "win_x"),
     )
 
-    _PAYLOAD.update(
+    emit_bench(
+        "encoder_sampler_scaling",
         {
             "sampler_full_batch_seconds": round(full_s, 4),
             "sampler_scoped_batch_seconds": round(scoped_s, 4),
             "sampler_win_x": round(win, 2),
             "sampler_closure_nodes": closure,
             "sampler_graph_entities": num_entities,
-        }
-    )
-    emit_bench(
-        "encoder_sampler_scaling",
-        dict(_PAYLOAD),
+        },
         json_path=BENCH_JSON,
         dataset=f"synthetic-{num_entities}",
         model="regcn",

@@ -1,40 +1,34 @@
 """Fused autodiff segment reductions — the graph compute plane's kernels.
 
 Message passing in every encoder of this repo reduces per-edge values
-into per-node (or per-relation) buckets.  The historical implementation
-funnelled through ``Tensor.scatter_add`` built on ``np.add.at``, which
-numpy executes as an unbuffered per-element loop, and re-derived the
-destination grouping on every call.  This module provides the fused
-alternatives:
+into per-node (or per-relation) buckets.  This module holds the one
+kernel for each reduction:
 
 - :class:`SegmentLayout` precomputes the sorted-edge/CSR view of one
   segment-id array (stable sort permutation, CSR offsets, counts) so the
   grouping cost is paid once per graph, not once per op call;
+- ``_sum_data`` / ``_max_data`` reduce over that layout with buffered
+  ``np.add.reduceat`` / ``np.maximum.reduceat`` calls — the only sum and
+  max kernels in :mod:`repro.nn` (``Tensor.index_select``'s backward
+  runs through :func:`segment_sum_data` too);
 - :func:`segment_sum` / :func:`segment_mean` / :func:`segment_max` /
-  :func:`segment_softmax` run buffered ``np.add.reduceat`` /
-  ``np.maximum.reduceat`` reductions over that layout, with hand-fused
-  reverse-mode gradients (a single gather per op instead of a chain of
-  autodiff nodes).
+  :func:`segment_softmax` wrap them with hand-fused reverse-mode
+  gradients (a single gather per op instead of a chain of autodiff
+  nodes).
 
 Empty segments reduce to 0 for sum/mean/max and to an empty softmax
 group; both match the behaviour of scattering into a zero tensor.
 
-For verification the module keeps two reference implementations
-selectable with :func:`set_segment_impl` / :func:`segment_impl`:
-
-- ``"reference"`` — the pre-refactor path: per-call ``np.add.at`` /
-  ``np.maximum.at`` scatter loops, ignoring any precomputed layout;
-- ``"dense"`` — one-hot matmul reductions (`O(segments * entries)`),
-  the ground truth the gradcheck property tests compare against.
-
-With float64 all three produce results equal to ~1e-14 (buffered
-reductions use pairwise summation; the scatter loop is sequential), so
-metrics agree far below the 1e-9 parity tolerance.
+The oracles these kernels are checked against — one-hot matmul and
+per-element ``np.add.at`` / ``np.maximum.at`` scatters — live in the
+test suite, which substitutes them for ``_sum_data`` / ``_max_data``.
+``reduceat`` sums pairwise while the scatter loop is sequential, so in
+float64 the two agree to ~1e-14, far below the 1e-9 metric parity
+tolerance.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Optional, Union
 
 import numpy as np
@@ -49,37 +43,7 @@ __all__ = [
     "segment_mean",
     "segment_max",
     "segment_softmax",
-    "set_segment_impl",
-    "get_segment_impl",
-    "segment_impl",
 ]
-
-_IMPLS = ("fused", "reference", "dense")
-_IMPL = "fused"
-
-
-def set_segment_impl(name: str) -> str:
-    """Select the segment-op implementation; returns the previous one."""
-    global _IMPL
-    if name not in _IMPLS:
-        raise ValueError(f"unknown segment impl {name!r}; expected one of {_IMPLS}")
-    previous = _IMPL
-    _IMPL = name
-    return previous
-
-
-def get_segment_impl() -> str:
-    return _IMPL
-
-
-@contextlib.contextmanager
-def segment_impl(name: str):
-    """Temporarily switch implementations (parity tests, benchmarks)."""
-    previous = set_segment_impl(name)
-    try:
-        yield
-    finally:
-        set_segment_impl(previous)
 
 
 class SegmentLayout:
@@ -137,27 +101,11 @@ def _resolve(segments: LayoutOrSegments, num_segments: Optional[int]) -> Segment
     return SegmentLayout(segments, num_segments)
 
 
-def _one_hot(layout: SegmentLayout, dtype) -> np.ndarray:
-    out = np.zeros((layout.num_entries, layout.num_segments), dtype=dtype)
-    if layout.num_entries:
-        out[np.arange(layout.num_entries), layout.segments] = 1.0
-    return out
-
-
 # ----------------------------------------------------------------------
-# raw (non-autodiff) reductions, dispatched on the active impl
+# raw (non-autodiff) reductions
 # ----------------------------------------------------------------------
 def _sum_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
     out_shape = (layout.num_segments,) + values.shape[1:]
-    if _IMPL == "dense":
-        cols = int(np.prod(values.shape[1:], dtype=np.int64))
-        flat = values.reshape(layout.num_entries, cols)
-        dense = _one_hot(layout, values.dtype).T @ flat
-        return dense.reshape(out_shape)
-    if _IMPL == "reference":
-        out = np.zeros(out_shape, dtype=values.dtype)
-        np.add.at(out, layout.segments, values)
-        return out
     out = np.zeros(out_shape, dtype=values.dtype)
     if layout.num_entries:
         out[layout.nonempty] = np.add.reduceat(values[layout.order], layout.starts, axis=0)
@@ -166,11 +114,6 @@ def _sum_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
 
 def _max_data(values: np.ndarray, layout: SegmentLayout) -> np.ndarray:
     out_shape = (layout.num_segments,) + values.shape[1:]
-    if _IMPL in ("reference", "dense"):
-        out = np.full(out_shape, -np.inf, dtype=values.dtype)
-        np.maximum.at(out, layout.segments, values)
-        out[~layout.nonempty] = 0.0
-        return out
     out = np.zeros(out_shape, dtype=values.dtype)
     if layout.num_entries:
         out[layout.nonempty] = np.maximum.reduceat(
@@ -191,7 +134,8 @@ def segment_sum_data(
     """Raw (non-autodiff) segment sum over plain numpy arrays.
 
     The kernel behind :func:`segment_sum`, exposed for numeric code that
-    never needs gradients (e.g. attention-mass propagation in xERTE).
+    never needs gradients (e.g. attention-mass propagation in xERTE, and
+    the row accumulation in ``Tensor.index_select``'s backward).
     """
     return _sum_data(np.asarray(values), _resolve(segments, num_segments))
 

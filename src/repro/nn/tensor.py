@@ -122,32 +122,28 @@ def ensure_tensor(value: ArrayLike) -> "Tensor":
     return Tensor(np.asarray(value, dtype=_DEFAULT_DTYPE))
 
 
-def scatter_rows_add(out: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Accumulate ``values`` rows into ``out`` at ``indices``, buffered.
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 
-    Drop-in replacement for ``np.add.at(out, indices, values)`` along
-    axis 0, built on a stable sort + ``np.add.reduceat`` so duplicate
-    indices are reduced in one buffered pass instead of numpy's slow
-    unbuffered per-element loop.  Mutates and returns ``out``.
+
+def _is_basic_index(index) -> bool:
+    """True if ``index`` is made of ints, slices, ``None`` and ``Ellipsis``.
+
+    Such an index selects each element at most once.  ``bool`` is an
+    ``int`` subclass but indexes as a mask, so it does not count.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
-        return out
-    if indices.size == 1:
-        out[indices[0]] += values[0] if values.ndim == out.ndim else values
-        return out
-    order = np.argsort(indices, kind="stable")
-    counts = np.bincount(indices, minlength=out.shape[0])
-    nonempty = counts > 0
-    starts = np.concatenate([[0], np.cumsum(counts)])[:-1][nonempty]
-    out[nonempty] += np.add.reduceat(np.asarray(values)[order], starts, axis=0)
-    return out
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(isinstance(p, _BASIC_INDEX) and not isinstance(p, bool) for p in parts)
+
+
+def _freed_backward(grad: np.ndarray) -> None:
+    raise RuntimeError("backward through a graph that was already freed")
 
 
 class Tensor:
     """An n-dimensional array with reverse-mode automatic differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_grad_sink")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_grad_sink",
+                 "__weakref__")
 
     def __init__(
         self,
@@ -239,7 +235,11 @@ class Tensor:
         """Backpropagate from this tensor.
 
         If ``grad`` is omitted the tensor must be scalar and the seed
-        gradient is 1.0.
+        gradient is 1.0.  The graph is freed as it is consumed: each
+        node drops its backward closure and parent links once it has
+        dispatched, which breaks the ``out`` -> closure -> ``out``
+        reference cycles so the graph dies with its last reference, and
+        a second ``backward()`` through it raises.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -273,9 +273,9 @@ class Tensor:
             if node._backward is None:
                 node._accumulate(node_grad)
                 continue
-            # Leaf-style accumulation also applies to interior nodes that
-            # someone retained; cheap because grad is usually unused there.
             node._backward_dispatch(node_grad, grads)
+            node._backward = _freed_backward
+            node._parents = ()
 
     def _backward_dispatch(self, node_grad: np.ndarray, grads: dict) -> None:
         # _backward closures stash parent grads via this hook.
@@ -606,7 +606,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if _is_basic_index(index):
+                full[index] = grad
+            else:  # advanced indices may repeat an element
+                np.add.at(full, index, grad)
             out._send(self, full)
 
         out = Tensor._make(out_data, (self,), backward)
@@ -621,32 +624,13 @@ class Tensor:
         out_data = self.data[indices]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros_like(self.data)
-            scatter_rows_add(full, indices.reshape(-1), grad.reshape((-1,) + self.shape[1:]))
-            out._send(self, full)
+            # segment.py imports this module, so the kernel is imported here
+            from repro.nn.segment import segment_sum_data
+
+            rows = grad.reshape((-1,) + self.shape[1:])
+            out._send(self, segment_sum_data(rows, indices.reshape(-1), len(self.data)))
 
         out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def scatter_add(self, indices: np.ndarray, source: "Tensor") -> "Tensor":
-        """Return a copy of ``self`` with ``source`` rows added at ``indices``.
-
-        Kept for operator parity; graph aggregation hot paths should use
-        the fused ops in :mod:`repro.nn.segment`, which reuse a cached
-        sorted-edge layout instead of re-sorting per call.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        source = ensure_tensor(source)
-        out_data = self.data.copy()
-        scatter_rows_add(out_data, indices, source.data)
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                out._send(self, grad)
-            if source.requires_grad:
-                out._send(source, grad[indices])
-
-        out = Tensor._make(out_data, (self, source), backward)
         return out
 
     # comparisons produce constant tensors (no gradient)

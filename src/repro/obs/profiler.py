@@ -73,7 +73,6 @@ _TENSOR_METHODS: Tuple[Tuple[str, str], ...] = (
     ("transpose", "transpose"),
     ("__getitem__", "getitem"),
     ("index_select", "index_select"),
-    ("scatter_add", "scatter_add"),
 )
 
 _ACTIVE: Optional["OpProfiler"] = None

@@ -1,9 +1,9 @@
 """The compiled graph compute plane: layouts, caches, and metric parity.
 
-The acceptance bar for the refactor: a full HisRES evaluation pass on
-``icews14s_small`` must produce the *same* filtered MRR / Hits@k through
-the fused compute plane as through the pre-refactor scatter path
-(``segment_impl("reference")``), to within 1e-9.
+The acceptance bar for the segment kernels: a full HisRES evaluation
+pass on ``icews14s_small`` must produce the *same* filtered MRR /
+Hits@k through the fused ``reduceat`` kernels as through the test-side
+``np.add.at`` / ``np.maximum.at`` scatter oracle, to within 1e-9.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ from repro.graphs.compiled import (
     compiled_cache_stats,
     reset_compiled_cache_stats,
 )
-from repro.nn.segment import segment_impl
 from repro.training import TimelineEvaluator, seed_everything
+from tests.nn.segment_oracles import segment_kernels
 
 
 def _graph(rng, num_entities=9, num_relations=3, n=12):
@@ -182,7 +182,7 @@ class TestWindowBuilderCaches:
 
 class TestMetricParity:
     def test_fused_matches_reference_eval(self):
-        """Identical filtered metrics through both compute paths (1e-9)."""
+        """Identical filtered metrics through the kernels and the oracle (1e-9)."""
         dataset = SyntheticTKGGenerator(PROFILES["icews14s_small"]).generate()
         config = HisRESConfig(
             embedding_dim=16, history_length=3, decoder_channels=4, dropout=0.0
@@ -200,7 +200,7 @@ class TestMetricParity:
                 history_length=config.history_length,
                 use_global=True,
             )
-            with segment_impl(impl):
+            with segment_kernels(impl):
                 results[impl] = evaluator.evaluate_walk(
                     model,
                     builder,

@@ -1,27 +1,30 @@
 """Gradcheck property tests for the fused segment reductions.
 
-Every op is validated against the dense one-hot matmul reference (the
-``"dense"`` impl) in both value and gradient, over layouts that exercise
-the edge cases real graphs produce: empty segments, a single edge, and
-non-contiguous destination ids.
+Every op is validated against the test-side dense oracle (one-hot
+matmul sum, per-segment masked max; see ``tests/nn/segment_oracles.py``) in
+both value and gradient, over layouts that exercise the edge cases real
+graphs produce: empty segments, a single edge, and non-contiguous
+destination ids.  The ``impl`` parameter names the kernel pair the ops
+run on: ``fused`` is the production ``reduceat`` kernel, ``reference``
+and ``dense`` are the oracles substituted in, so the ``np.add.at``
+oracle the metric-parity test relies on is itself checked here.
 """
 
 import numpy as np
 import pytest
 
+from repro.nn import segment
 from repro.nn.segment import (
     SegmentLayout,
-    get_segment_impl,
-    segment_impl,
     segment_max,
     segment_mean,
     segment_softmax,
     segment_sum,
     segment_sum_data,
-    set_segment_impl,
 )
 from repro.nn.tensor import Tensor
 from tests.conftest import check_gradients
+from tests.nn.segment_oracles import dense_max, dense_sum, segment_kernels, scatter_sum
 
 # (segments, num_segments) cases: empty segments interleaved,
 # single-edge graphs, and non-contiguous destination ids.
@@ -37,25 +40,8 @@ OPS = [segment_sum, segment_mean, segment_max]
 
 
 def dense_reference(op, values, segments, num_segments):
-    with segment_impl("dense"):
+    with segment_kernels("dense"):
         return op(Tensor(values), segments, num_segments).data
-
-
-class TestImplSwitch:
-    def test_default_is_fused(self):
-        assert get_segment_impl() == "fused"
-
-    def test_unknown_impl_rejected(self):
-        with pytest.raises(ValueError, match="unknown segment impl"):
-            set_segment_impl("turbo")
-
-    def test_context_restores(self):
-        with segment_impl("reference"):
-            assert get_segment_impl() == "reference"
-            with segment_impl("dense"):
-                assert get_segment_impl() == "dense"
-            assert get_segment_impl() == "reference"
-        assert get_segment_impl() == "fused"
 
 
 class TestLayout:
@@ -87,7 +73,7 @@ class TestForwardAgainstDense:
     def test_matches_dense(self, op, segments, num_segments, impl, rng):
         values = rng.normal(size=(len(segments), 3))
         expected = dense_reference(op, values, segments, num_segments)
-        with segment_impl(impl):
+        with segment_kernels(impl):
             out = op(Tensor(values), segments, num_segments).data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -95,9 +81,9 @@ class TestForwardAgainstDense:
     @pytest.mark.parametrize("impl", ["fused", "reference"])
     def test_softmax_matches_dense(self, segments, num_segments, impl, rng):
         scores = rng.normal(size=len(segments)) * 3
-        with segment_impl("dense"):
+        with segment_kernels("dense"):
             expected = segment_softmax(Tensor(scores), segments, num_segments).data
-        with segment_impl(impl):
+        with segment_kernels(impl):
             out = segment_softmax(Tensor(scores), segments, num_segments).data
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -135,7 +121,7 @@ class TestGradients:
     @pytest.mark.parametrize("impl", ["fused", "reference", "dense"])
     def test_linear_ops(self, op, segments, num_segments, impl, rng):
         values = rng.normal(size=(len(segments), 2))
-        with segment_impl(impl):
+        with segment_kernels(impl):
             check_gradients(lambda v: op(v, segments, num_segments), values)
 
     @pytest.mark.parametrize("segments,num_segments", CASES)
@@ -144,7 +130,7 @@ class TestGradients:
         # well-separated values keep the argmax stable under the
         # finite-difference probes
         values = rng.permutation(len(segments) * 2).reshape(len(segments), 2) * 1.0
-        with segment_impl(impl):
+        with segment_kernels(impl):
             check_gradients(lambda v: segment_max(v, segments, num_segments), values)
 
     def test_max_tied_gradient_splits_equally(self):
@@ -157,7 +143,7 @@ class TestGradients:
     @pytest.mark.parametrize("impl", ["fused", "reference", "dense"])
     def test_softmax(self, segments, num_segments, impl, rng):
         scores = rng.normal(size=len(segments))
-        with segment_impl(impl):
+        with segment_kernels(impl):
             check_gradients(
                 lambda s: segment_softmax(s, segments, num_segments), scores
             )
@@ -171,3 +157,34 @@ class TestGradients:
         values = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
         segment_sum(values, layout).sum().backward()
         np.testing.assert_allclose(values.grad, np.ones((3, 2)))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("segments,num_segments", CASES)
+    def test_match_oracles_and_keep_dtype(self, segments, num_segments, dtype, rng):
+        layout = SegmentLayout(segments, num_segments)
+        values = rng.normal(size=(len(segments), 3)).astype(dtype)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for kernel, oracle in ((segment._sum_data, dense_sum), (segment._max_data, dense_max)):
+            out = kernel(values, layout)
+            assert out.dtype == dtype
+            np.testing.assert_allclose(out, oracle(values, layout), atol=tol)
+        np.testing.assert_allclose(
+            segment._sum_data(values, layout), scatter_sum(values, layout), atol=tol
+        )
+
+    def test_ops_route_through_the_substituted_kernels(self, monkeypatch):
+        # the oracle tests are only meaningful if every op (and
+        # index_select's backward) looks the kernels up at call time
+        def sevens(values, layout):
+            return np.full((layout.num_segments,) + values.shape[1:], 7.0)
+
+        monkeypatch.setattr(segment, "_sum_data", sevens)
+        monkeypatch.setattr(segment, "_max_data", sevens)
+        segments = np.array([0, 0, 2])
+        assert (segment_sum(Tensor(np.ones((3, 2))), segments, 3).data == 7.0).all()
+        assert (segment_max(Tensor(np.ones((3, 2))), segments, 3).data == 7.0).all()
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        w.index_select(np.array([1, 1])).sum().backward()
+        assert (w.grad == 7.0).all()

@@ -1,10 +1,34 @@
 """Gradient checks and semantics for every Tensor operator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concat, ensure_tensor, is_grad_enabled, no_grad, stack, where
+from repro.nn.tensor import (
+    Tensor,
+    concat,
+    default_dtype,
+    ensure_tensor,
+    is_grad_enabled,
+    no_grad,
+    stack,
+    where,
+)
 from tests.conftest import check_gradients
+from tests.nn.segment_oracles import one_hot
+
+DTYPES = [np.float64, np.float32]
+
+
+def _index_grad(values, index, grad, dtype):
+    """Gradient that ``values[index]`` sends back for upstream ``grad``."""
+    with default_dtype(dtype):
+        x = Tensor(values, requires_grad=True)
+        x[index].backward(grad.astype(dtype))
+    assert x.grad.dtype == dtype
+    return x.grad
 
 
 class TestArithmetic:
@@ -160,6 +184,43 @@ class TestShapes:
         idx = np.array([0, 2, 2])
         check_gradients(lambda a: a[idx], rng.normal(size=(4, 3)))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "index",
+        [
+            (slice(1, 3), slice(None, None, 2)),  # the GRU gate split shape
+            (Ellipsis, 1),
+            (2, None),
+            np.int64(3),
+        ],
+        ids=["slices", "ellipsis-int", "int-newaxis", "numpy-int"],
+    )
+    def test_getitem_basic_grad_equals_add_at(self, index, dtype, rng):
+        values = rng.normal(size=(5, 4))
+        grad = rng.normal(size=values[index].shape)
+        expected = np.zeros_like(values, dtype=dtype)
+        np.add.at(expected, index, grad.astype(dtype))
+        assert _index_grad(values, index, grad, dtype).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "index",
+        [
+            np.array([0, 2, 2, 2]),
+            [1, 1],
+            (np.array([1, 1]), np.array([0, 0])),
+            (slice(None), np.array([3, 3, 0])),
+        ],
+        ids=["rows", "list", "pairs", "slice-then-columns"],
+    )
+    def test_getitem_advanced_duplicates_accumulate(self, index, dtype, rng):
+        values = rng.normal(size=(5, 4))
+        grad = np.ones(values[index].shape)
+        expected = np.zeros_like(values)
+        np.add.at(expected, index, grad)
+        assert expected.max() > 1  # the index does repeat an element
+        np.testing.assert_array_equal(_index_grad(values, index, grad, dtype), expected)
+
 
 class TestIndexing:
     def test_index_select_grad(self, rng):
@@ -173,19 +234,17 @@ class TestIndexing:
         assert w.grad[1].sum() == pytest.approx(6.0)  # two rows x 3 entries
         assert w.grad[0].sum() == pytest.approx(0.0)
 
-    def test_scatter_add_grad(self, rng):
-        idx = np.array([0, 2, 2, 1])
-        check_gradients(
-            lambda base, src: base.scatter_add(idx, src),
-            rng.normal(size=(3, 2)),
-            rng.normal(size=(4, 2)),
-        )
-
-    def test_scatter_add_values(self):
-        base = Tensor(np.zeros((3, 2)))
-        src = Tensor(np.ones((4, 2)))
-        out = base.scatter_add(np.array([0, 0, 2, 2]), src)
-        np.testing.assert_allclose(out.data, [[2, 2], [0, 0], [2, 2]])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_index_select_duplicate_rows_match_dense_oracle(self, dtype, rng):
+        indices = np.array([[4, 1], [4, 4], [0, 1]])
+        grad = rng.normal(size=indices.shape + (3,)).astype(dtype)
+        with default_dtype(dtype):
+            w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+            w.index_select(indices).backward(grad)
+        expected = one_hot(indices.reshape(-1), 6).T @ grad.reshape(-1, 3)
+        assert w.grad.dtype == dtype
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        np.testing.assert_allclose(w.grad, expected, atol=tol)
 
 
 class TestCombinators:
@@ -317,6 +376,29 @@ class TestGraphMechanics:
             y = y + 1.0
         y.backward()
         assert x.grad[0] == pytest.approx(1.0)
+
+    def test_graph_dies_with_the_loss_without_cyclic_gc(self):
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((2, 3)), requires_grad=True)
+            hidden = (x * 2.0).tanh()
+            alive = weakref.ref(hidden)
+            loss = hidden.sum()
+            del hidden
+            loss.backward()
+            del loss
+            assert alive() is None, "the autograd graph outlived its loss"
+        finally:
+            gc.enable()
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        assert x.grad[0] == pytest.approx(6.0)
 
     def test_ensure_tensor_passthrough(self):
         t = Tensor([1.0])

@@ -7,9 +7,10 @@ are unbuffered per-element loops; reintroducing one in a hot path would
 silently undo the throughput win.  This test fails on any new use inside
 ``src/repro/core/`` or ``src/repro/baselines/``.
 
-The primitives legitimately remain in ``repro.nn`` itself (the autodiff
-fallbacks and the ``"reference"`` segment impl) — only the model layers
-are fenced.
+Inside ``repro.nn`` one use remains: ``Tensor.__getitem__``'s backward
+for advanced indices, which may repeat an element.  The segment ops and
+``Tensor.index_select`` share the ``reduceat`` kernel of
+``repro.nn.segment``.
 """
 
 import re
@@ -31,6 +32,16 @@ def test_no_scatter_primitives_in_model_code():
         "unbuffered scatter primitives reappeared in model code; use "
         "repro.nn.segment ops with a compiled layout instead:\n" + "\n".join(offenders)
     )
+
+
+def test_nn_keeps_one_scatter_site():
+    sites = [
+        f"{path.name}: {line.strip()}"
+        for path in sorted((SRC / "nn").rglob("*.py"))
+        for line in path.read_text().splitlines()
+        if FORBIDDEN.search(line)
+    ]
+    assert sites == ["tensor.py: np.add.at(full, index, grad)"], sites
 
 
 def test_guard_scans_the_real_tree():
